@@ -2,28 +2,22 @@
 
 #include <sys/resource.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <span>
+#include <type_traits>
 
 #include "faults/schedule.hpp"
-#include "policies/factory.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace flexfetch::bench {
 
-sim::SimResult run_once(const workloads::ScenarioBundle& scenario,
-                        const std::string& policy_name,
-                        const device::WnicParams& wnic) {
-  sim::SweepCell cell;
-  cell.scenario = &scenario;
-  cell.policy = policy_name;
-  cell.wnic = wnic;
-  return sim::run_cell(cell);
-}
+namespace {
 
 void print_table_header(const std::string& axis,
                         const std::vector<std::string>& columns) {
@@ -37,6 +31,39 @@ void print_table_row(double axis_value, const std::vector<double>& cells) {
   for (const double v : cells) std::printf(" %14.1f", v);
   std::printf("\n");
 }
+
+std::vector<std::string> display_names(const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const auto& n : names) {
+    if (n == "flexfetch") out.push_back("FlexFetch");
+    else if (n == "flexfetch-static") out.push_back("FlexFetch-static");
+    else if (n == "bluefs") out.push_back("BlueFS");
+    else if (n == "disk-only") out.push_back("Disk-only");
+    else if (n == "wnic-only") out.push_back("WNIC-only");
+    else if (n == "oracle") out.push_back("Oracle");
+    else out.push_back(n);
+  }
+  return out;
+}
+
+}  // namespace
+
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
+}
+
+template bool parse_number<int>(std::string_view, int&);
+template bool parse_number<std::uint64_t>(std::string_view, std::uint64_t&);
+template bool parse_number<double>(std::string_view, double&);
 
 void ParsedFlags::add(std::string name, bool* target) {
   flags_.push_back(
@@ -54,6 +81,13 @@ void ParsedFlags::add(std::string name, std::uint64_t* target,
   flags_.push_back(Flag{.name = "--" + std::move(name),
                         .value_name = std::move(value_name),
                         .u64_target = target});
+}
+
+void ParsedFlags::add(std::string name, double* target,
+                      std::string value_name) {
+  flags_.push_back(Flag{.name = "--" + std::move(name),
+                        .value_name = std::move(value_name),
+                        .double_target = target});
 }
 
 void ParsedFlags::add(std::string name, std::string* target,
@@ -75,22 +109,20 @@ void ParsedFlags::print_flag_list(std::FILE* to) const {
     }
   }
   std::fprintf(to, "  --help, -h\n");
-  std::fprintf(to, "  --benchmark_*   (passed through to google-benchmark)\n");
 }
 
-void ParsedFlags::usage_and_exit(const char* argv0,
-                                 const char* offending) const {
-  std::fprintf(stderr, "%s: unknown argument '%s'\n", argv0, offending);
+void ParsedFlags::usage_and_exit(const char* experiment,
+                                 const std::string& complaint) const {
+  std::fprintf(stderr, "ffbench %s: %s\n", experiment, complaint.c_str());
   print_flag_list(stderr);
   std::exit(2);
 }
 
-void ParsedFlags::parse(int& argc, char** argv) const {
-  int out = 1;
+void ParsedFlags::parse(int argc, char** argv) const {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      std::printf("usage: %s [flags]\n", argv[0]);
+      std::printf("usage: ffbench %s [flags]\n", argv[0]);
       print_flag_list(stdout);
       std::exit(0);
     }
@@ -111,11 +143,7 @@ void ParsedFlags::parse(int& argc, char** argv) const {
       }
     }
     if (matched == nullptr) {
-      if (std::strncmp(a, "--benchmark_", 12) == 0) {
-        argv[out++] = argv[i];  // Left for google-benchmark to parse.
-        continue;
-      }
-      usage_and_exit(argv[0], a);
+      usage_and_exit(argv[0], std::string("unknown argument '") + a + "'");
     }
     if (matched->bool_target != nullptr) {
       *matched->bool_target = true;
@@ -123,59 +151,70 @@ void ParsedFlags::parse(int& argc, char** argv) const {
     }
     const char* value = inline_value;
     if (value == nullptr) {
-      if (i + 1 >= argc) usage_and_exit(argv[0], a);
+      if (i + 1 >= argc) {
+        usage_and_exit(argv[0], matched->name + " needs a value");
+      }
       value = argv[++i];
     }
+    bool ok = true;
     if (matched->int_target != nullptr) {
-      *matched->int_target = std::atoi(value);
+      ok = parse_number(value, *matched->int_target);
     } else if (matched->u64_target != nullptr) {
-      *matched->u64_target = std::strtoull(value, nullptr, 10);
+      ok = parse_number(value, *matched->u64_target);
+    } else if (matched->double_target != nullptr) {
+      ok = parse_number(value, *matched->double_target);
     } else {
       *matched->string_target = value;
     }
+    if (!ok) {
+      usage_and_exit(argv[0], std::string("bad value '") + value + "' for " +
+                                  matched->name);
+    }
   }
-  argc = out;
-  argv[argc] = nullptr;
 }
 
-HarnessOptions parse_harness_flags(int& argc, char** argv,
-                                   bool telemetry_flags) {
-  HarnessOptions opts;
-  ParsedFlags flags;
-  flags.add("jobs", &opts.jobs, "N");
-  flags.add("fault-seed", &opts.fault_seed, "S");
-  if (telemetry_flags) {
-    flags.add("metrics", &opts.metrics);
-    flags.add("trace-out", &opts.trace_out, "FILE");
-  }
-  flags.parse(argc, argv);
-  return opts;
-}
-
-namespace {
-
-std::vector<std::string> display_names(const std::vector<std::string>& names) {
+std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
-  for (const auto& n : names) {
-    if (n == "flexfetch") out.push_back("FlexFetch");
-    else if (n == "flexfetch-static") out.push_back("FlexFetch-static");
-    else if (n == "bluefs") out.push_back("BlueFS");
-    else if (n == "disk-only") out.push_back("Disk-only");
-    else if (n == "wnic-only") out.push_back("WNIC-only");
-    else if (n == "oracle") out.push_back("Oracle");
-    else out.push_back(n);
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const std::size_t comma = s.find(',', pos);
+    if (comma == std::string::npos) {
+      out.push_back(s.substr(pos));
+      break;
+    }
+    out.push_back(s.substr(pos, comma - pos));
+    pos = comma + 1;
   }
   return out;
 }
 
-/// Merges each policy's per-cell metrics and prints one block per policy.
-void print_metrics_summary(const SweepSpec& spec,
-                           const std::vector<sim::SweepCell>& cells,
-                           const std::vector<sim::SimResult>& results) {
-  std::printf("telemetry metrics, merged per policy (%zu cells each; "
-              "counters sum, gauges keep the last cell's value)\n",
-              spec.policies.empty() ? 0 : cells.size() / spec.policies.size());
-  for (const auto& p : spec.policies) {
+bool numerically_identical(const sim::SimResult& a, const sim::SimResult& b) {
+  return a.makespan == b.makespan && a.io_time == b.io_time &&
+         a.total_energy() == b.total_energy() &&
+         a.disk_energy() == b.disk_energy() &&
+         a.wnic_energy() == b.wnic_energy() && a.syscalls == b.syscalls &&
+         a.disk_requests == b.disk_requests &&
+         a.net_requests == b.net_requests && a.disk_bytes == b.disk_bytes &&
+         a.net_bytes == b.net_bytes;
+}
+
+void enable_telemetry(std::vector<sim::SweepCell>& cells, bool metrics,
+                      const std::string& trace_out) {
+  if (!metrics && trace_out.empty()) return;
+  for (auto& cell : cells) {
+    // Metrics-only mode (the default ring_capacity 0): exact counters and
+    // histograms, no events admitted or constructed.
+    cell.config.telemetry.enabled = true;
+  }
+  if (!trace_out.empty() && !cells.empty()) {
+    cells[0].config.telemetry.ring_capacity = telemetry::kDefaultRingCapacity;
+  }
+}
+
+void print_metrics_by_policy(const std::vector<std::string>& policies,
+                             const std::vector<sim::SweepCell>& cells,
+                             const std::vector<sim::SimResult>& results) {
+  for (const auto& p : policies) {
     telemetry::MetricsRegistry merged;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (cells[i].policy == p) merged.merge(results[i].metrics);
@@ -188,7 +227,20 @@ void print_metrics_summary(const SweepSpec& spec,
   std::printf("\n");
 }
 
-}  // namespace
+bool write_cell_trace(const std::string& path, const sim::SweepCell& cell,
+                      const sim::SimResult& result) {
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  telemetry::write_chrome_trace(
+      os, std::span<const telemetry::TraceEvent>(result.trace_events),
+      result.trace_events_dropped, &result.metrics);
+  std::printf("wrote Chrome trace of cell 0 (%s / %s) to %s\n",
+              cell.scenario->name.c_str(), cell.policy.c_str(), path.c_str());
+  return true;
+}
 
 std::vector<sim::SweepCell> figure_cells(
     const workloads::ScenarioBundle& scenario, const SweepSpec& spec) {
@@ -229,21 +281,11 @@ std::vector<sim::SweepCell> figure_cells(
   return cells;
 }
 
-void print_figure(const std::string& figure_label,
+bool print_figure(const std::string& figure_label,
                   const workloads::ScenarioBundle& scenario,
                   const SweepSpec& spec) {
   auto cells = figure_cells(scenario, spec);
-  if (spec.metrics || !spec.trace_out.empty()) {
-    for (auto& cell : cells) {
-      // Metrics-only mode (the default ring_capacity 0): exact counters
-      // and histograms, no events admitted or constructed.
-      cell.config.telemetry.enabled = true;
-    }
-    if (!spec.trace_out.empty() && !cells.empty()) {
-      // Event capture is opt-in per cell.
-      cells[0].config.telemetry.ring_capacity = telemetry::kDefaultRingCapacity;
-    }
-  }
+  enable_telemetry(cells, spec.metrics, spec.trace_out);
   const auto results = sim::run_sweep(cells, {.jobs = spec.jobs});
 
   std::printf("=== %s : %s ===\n", figure_label.c_str(), scenario.name.c_str());
@@ -252,44 +294,41 @@ void print_figure(const std::string& figure_label,
   // Results arrive in the same row-major (axis point, policy) order the
   // cells were built in; walk them back out as table rows.
   std::size_t i = 0;
+  const auto print_panel = [&](const std::vector<double>& axis) {
+    for (const double x : axis) {
+      std::vector<double> row;
+      row.reserve(spec.policies.size());
+      for (std::size_t p = 0; p < spec.policies.size(); ++p) {
+        row.push_back(results[i++].total_energy().value());
+      }
+      print_table_row(x, row);
+    }
+  };
   std::printf("(a) WNIC latency sweep at 11 Mbps\n");
   print_table_header("latency[ms]", display_names(spec.policies));
-  for (const double ms : spec.latencies_ms) {
-    std::vector<double> row;
-    row.reserve(spec.policies.size());
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      row.push_back(results[i++].total_energy().value());
-    }
-    print_table_row(ms, row);
-  }
-
+  print_panel(spec.latencies_ms);
   std::printf("\n(b) WNIC bandwidth sweep at 1 ms latency\n");
   print_table_header("bw[Mbps]", display_names(spec.policies));
-  for (const double mbps : spec.bandwidths_mbps) {
-    std::vector<double> row;
-    row.reserve(spec.policies.size());
-    for (std::size_t p = 0; p < spec.policies.size(); ++p) {
-      row.push_back(results[i++].total_energy().value());
-    }
-    print_table_row(mbps, row);
-  }
+  print_panel(spec.bandwidths_mbps);
   std::printf("\n");
 
-  if (spec.metrics) print_metrics_summary(spec, cells, results);
-  if (!spec.trace_out.empty() && !results.empty()) {
-    std::ofstream os(spec.trace_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   spec.trace_out.c_str());
-    } else {
-      telemetry::write_chrome_trace(
-          os, std::span<const telemetry::TraceEvent>(results[0].trace_events),
-          results[0].trace_events_dropped, &results[0].metrics);
-      std::printf("wrote Chrome trace of cell 0 (%s / %s) to %s\n",
-                  scenario.name.c_str(), cells[0].policy.c_str(),
-                  spec.trace_out.c_str());
-    }
+  if (spec.metrics) {
+    std::printf("telemetry metrics, merged per policy (%zu cells each; "
+                "counters sum, gauges keep the last cell's value)\n",
+                spec.policies.empty() ? 0
+                                      : cells.size() / spec.policies.size());
+    print_metrics_by_policy(spec.policies, cells, results);
   }
+  if (!spec.trace_out.empty() && !results.empty()) {
+    return write_cell_trace(spec.trace_out, cells[0], results[0]);
+  }
+  return true;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 std::uint64_t peak_rss_bytes() {

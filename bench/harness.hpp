@@ -1,12 +1,16 @@
-// Shared harness for the per-figure benchmark binaries: runs policy sweeps
-// over WNIC latency and bandwidth and prints the paper-style series. The
-// grid is fanned out across worker threads by the sweep engine
-// (sim/sweep.hpp); results are deterministic and printed in grid order.
+// Shared harness of the ffbench experiments: the paper-figure sweep over
+// WNIC latency and bandwidth, strict command-line flags, and the small
+// helpers (CSV lists, result equality, Chrome traces, metrics summaries,
+// host wall time and RSS) that several experiments record with. The grid
+// is fanned out across worker threads by the sweep engine (sim/sweep.hpp);
+// results are deterministic and printed in grid order.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -37,11 +41,6 @@ struct SweepSpec {
   std::uint64_t fault_seed = 0;
 };
 
-/// Runs one scenario under one policy with the given WNIC parameters.
-sim::SimResult run_once(const workloads::ScenarioBundle& scenario,
-                        const std::string& policy_name,
-                        const device::WnicParams& wnic);
-
 /// Builds the figure's (a) latency-panel and (b) bandwidth-panel cells, in
 /// the row-major order print_figure prints them.
 std::vector<sim::SweepCell> figure_cells(
@@ -49,38 +48,71 @@ std::vector<sim::SweepCell> figure_cells(
 
 /// Prints "(a) energy vs latency" and "(b) energy vs bandwidth" tables for
 /// the scenario — the two panels of each figure in Section 3.3. Cells run
-/// in parallel per `spec.jobs`.
-void print_figure(const std::string& figure_label,
-                  const workloads::ScenarioBundle& scenario,
-                  const SweepSpec& spec);
+/// in parallel per `spec.jobs`. Returns false when `spec.trace_out` is set
+/// and cannot be written.
+[[nodiscard]] bool print_figure(const std::string& figure_label,
+                                const workloads::ScenarioBundle& scenario,
+                                const SweepSpec& spec);
 
-/// Prints one header + one row per sweep point; helper for ablations.
-void print_table_header(const std::string& axis,
-                        const std::vector<std::string>& columns);
-void print_table_row(double axis_value, const std::vector<double>& cells);
+/// Turns on metrics-only telemetry in every cell when `metrics` is set or
+/// a trace is requested, and full event capture in cell 0 when `trace_out`
+/// is non-empty (event capture is a per-cell opt-in).
+void enable_telemetry(std::vector<sim::SweepCell>& cells, bool metrics,
+                      const std::string& trace_out);
 
-/// Declarative command-line flag table. Each bench binary registers the
-/// flags it understands (`add`), then calls `parse` once: recognised flags
-/// are stripped from argv, `--benchmark_*` flags are left in place for
-/// google-benchmark, and anything else prints a generated usage message and
-/// exits with status 2 — unknown flags are never silently ignored. Adding a
-/// new flag (e.g. `--hotpath-out`) is one `add` call; spelling variants
-/// (`--flag VALUE` and `--flag=VALUE`), the per-flag usage listing that an
-/// unknown argument triggers, and `--help`/`-h` all come for free.
+/// Merges each policy's per-cell telemetry metrics and prints one
+/// "[policy]" block per policy, then a blank line. The caller prints the
+/// heading that says what was merged.
+void print_metrics_by_policy(const std::vector<std::string>& policies,
+                             const std::vector<sim::SweepCell>& cells,
+                             const std::vector<sim::SimResult>& results);
+
+/// Writes `result`'s captured events (with its metrics) as Chrome
+/// trace_event JSON to `path` and reports it as cell 0 of the run on
+/// stdout. Returns false, after saying so on stderr, when `path` cannot be
+/// opened.
+[[nodiscard]] bool write_cell_trace(const std::string& path,
+                                    const sim::SweepCell& cell,
+                                    const sim::SimResult& result);
+
+/// Bit-equality of every numeric field the bench records carry (time,
+/// energy split, request and byte counts). The policy name is not
+/// compared: an adaptive spec and its static twin legitimately differ
+/// there.
+bool numerically_identical(const sim::SimResult& a, const sim::SimResult& b);
+
+/// Splits "a,b,c" at every comma; empty fields are kept.
+std::vector<std::string> split_csv(const std::string& s);
+
+/// Parses all of `text` as a base-10 T (int, std::uint64_t or double).
+/// Returns false, leaving `out` alone, on an empty token, trailing junk, a
+/// sign on an unsigned type, an out-of-range value or a non-finite double.
+template <typename T>
+bool parse_number(std::string_view text, T& out);
+
+/// Declarative command-line flag table. Each experiment registers the
+/// flags it honours (`add`), then calls `parse` once: anything else —
+/// an unknown flag, a missing value or a value that does not parse in
+/// full — prints a generated usage message and exits with status 2, so
+/// no argument is ever silently ignored or turned into 0. Spelling
+/// variants (`--flag VALUE` and `--flag=VALUE`), the per-flag usage
+/// listing and `--help`/`-h` all come for free.
 class ParsedFlags {
  public:
   /// Bare boolean flag: `--name` sets *target to true.
   void add(std::string name, bool* target);
   /// Integer flag: `--name N` or `--name=N`.
   void add(std::string name, int* target, std::string value_name);
-  /// Unsigned 64-bit flag (seeds): `--name N` or `--name=N`.
+  /// Unsigned 64-bit flag (seeds, counts).
   void add(std::string name, std::uint64_t* target, std::string value_name);
-  /// String flag: `--name VALUE` or `--name=VALUE`.
+  /// Finite floating-point flag.
+  void add(std::string name, double* target, std::string value_name);
+  /// String flag.
   void add(std::string name, std::string* target, std::string value_name);
 
-  /// Parses argv in place; on return argv holds only argv[0] and any
-  /// `--benchmark_*` flags (argc updated to match).
-  void parse(int& argc, char** argv) const;
+  /// Parses argv[1..argc); argv[0] is the experiment name, used in the
+  /// messages.
+  void parse(int argc, char** argv) const;
 
  private:
   struct Flag {
@@ -89,39 +121,24 @@ class ParsedFlags {
     bool* bool_target = nullptr;
     int* int_target = nullptr;
     std::uint64_t* u64_target = nullptr;
+    double* double_target = nullptr;
     std::string* string_target = nullptr;
   };
-  /// One line per registered flag, plus --help and the --benchmark_*
-  /// pass-through.
+  /// One line per registered flag, plus --help.
   void print_flag_list(std::FILE* to) const;
-  [[noreturn]] void usage_and_exit(const char* argv0,
-                                   const char* offending) const;
+  [[noreturn]] void usage_and_exit(const char* experiment,
+                                   const std::string& complaint) const;
   std::vector<Flag> flags_;
 };
 
+/// Host wall time since `start`, in seconds.
+double seconds_since(std::chrono::steady_clock::time_point start);
+
 /// Peak resident set size of this process so far, in bytes (getrusage
-/// ru_maxrss). Benches record it into their JSON artifacts so
+/// ru_maxrss). Experiments record it into their JSON artifacts so
 /// memory-boundedness claims (--cells=off, fleet shards) are checkable
 /// from the record. Lives in bench/, not src/: it is a host measurement,
 /// like wall clocks.
 std::uint64_t peak_rss_bytes();
-
-/// Flags shared by the bench binaries, parsed by parse_harness_flags.
-struct HarnessOptions {
-  int jobs = 0;
-  bool metrics = false;
-  std::string trace_out;
-  std::uint64_t fault_seed = 0;
-};
-
-/// Parses and strips the harness flags from argv via ParsedFlags:
-///   --jobs N        sweep worker threads
-///   --metrics       per-cell telemetry metrics + merged summary
-///   --trace-out F   Chrome trace of the first sweep cell (telemetry_flags)
-///   --fault-seed S  inject the fault schedule generated from seed S
-/// Binaries without a telemetry surface pass telemetry_flags = false so
-/// --metrics/--trace-out are rejected too.
-HarnessOptions parse_harness_flags(int& argc, char** argv,
-                                   bool telemetry_flags = true);
 
 }  // namespace flexfetch::bench

@@ -11,15 +11,11 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <span>
 
 #include "common/format.hpp"
+#include "harness.hpp"
 #include "sim/sweep.hpp"
-#include "telemetry/exporters.hpp"
-#include "telemetry/metrics.hpp"
 #include "workloads/scenarios.hpp"
 
 namespace {
@@ -41,13 +37,13 @@ int main(int argc, char** argv) {
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+      if (!bench::parse_number(argv[++i], jobs)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics = true;
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      if (!bench::parse_number(argv[i], seed)) return usage(argv[0]);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
       return usage(argv[0]);
@@ -65,14 +61,7 @@ int main(int argc, char** argv) {
 
   auto cells = sim::make_grid(refs, policy_names,
                               {device::WnicParams::cisco_aironet350()});
-  if (metrics || !trace_out.empty()) {
-    for (auto& cell : cells) {
-      cell.config.telemetry.enabled = true;  // metrics-only by default
-    }
-    if (!trace_out.empty() && !cells.empty()) {
-      cells[0].config.telemetry.ring_capacity = telemetry::kDefaultRingCapacity;
-    }
-  }
+  bench::enable_telemetry(cells, metrics, trace_out);
   const auto results = sim::run_sweep(cells, {.jobs = jobs});
 
   std::size_t i = 0;
@@ -94,31 +83,12 @@ int main(int argc, char** argv) {
   if (metrics) {
     std::printf("telemetry metrics, merged per policy across %zu scenarios\n",
                 scenarios.size());
-    for (const auto& p : policy_names) {
-      telemetry::MetricsRegistry merged;
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (cells[c].policy == p) merged.merge(results[c].metrics);
-      }
-      std::printf("[%s]\n", p.c_str());
-      for (const auto& [name, metric] : merged.items()) {
-        std::printf("  %-32s %.6g\n", name.c_str(), metric.value);
-      }
-    }
-    std::printf("\n");
+    bench::print_metrics_by_policy(policy_names, cells, results);
   }
 
-  if (!trace_out.empty() && !results.empty()) {
-    std::ofstream os(trace_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_out.c_str());
-      return 1;
-    }
-    telemetry::write_chrome_trace(
-        os, std::span<const telemetry::TraceEvent>(results[0].trace_events),
-        results[0].trace_events_dropped, &results[0].metrics);
-    std::printf("wrote Chrome trace of cell 0 (%s / %s) to %s\n",
-                cells[0].scenario->name.c_str(), cells[0].policy.c_str(),
-                trace_out.c_str());
+  if (!trace_out.empty() && !results.empty() &&
+      !bench::write_cell_trace(trace_out, cells[0], results[0])) {
+    return 1;
   }
   return 0;
 }

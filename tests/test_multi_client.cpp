@@ -185,8 +185,8 @@ TEST(MultiClient, ContentionIsVisibleAtFourClients) {
 }
 
 TEST(MultiClient, ContentionShiftsFlexFetchTowardsDisk) {
-  // Mirrors bench_contention's crowded-cafe preset: four different paper
-  // scenarios on a 3 Mb/s cell (the MAC goodput of a 5.5 Mb/s PHY after
+  // Mirrors the `ffbench contention` crowded-cafe preset: four different
+  // paper scenarios on a 3 Mb/s cell (the MAC goodput of a 5.5 Mb/s PHY after
   // rate adaptation), which sits near the disk/network breakeven. Each
   // client's uncontended reference is itself, alone, with the identical
   // spec — the delta is pure contention.

@@ -180,7 +180,7 @@ TEST(Factory, AdaptiveRejectsBadSpecsAndMissingProfiles) {
 }
 
 TEST(Factory, ConstantCurveReproducesStaticFlexFetch) {
-  // The degeneracy gate in miniature (bench_battery runs the full sweep):
+  // The degeneracy gate in miniature (`ffbench battery` runs the full sweep):
   // FlexFetch with `constant@0.25` must make the same decisions, spend the
   // same energy and take the same time as the static 25% knob.
   for (const trace::Trace& t : {paced_trace(), bursty_trace()}) {
