@@ -1,9 +1,10 @@
 // Performance records of the simulation substrates, each with a gate:
 //
 //  * the telemetry overhead contract (near-zero when disabled): the same
-//    full simulation is timed with telemetry off and on, both results are
-//    checked for equality, and the pair is recorded in BENCH_telemetry.json
-//    (path overridable with --telemetry-out FILE);
+//    full simulation is timed with telemetry off, metrics-on and ring
+//    capture in interleaved rounds, the results are checked for equality,
+//    and the medians are recorded in BENCH_telemetry.json (path
+//    overridable with --telemetry-out FILE);
 //  * the arena hot-path speedups (2Q cache, C-SCAN, full-sim cell
 //    throughput) against the pre-rewrite numbers, recorded in
 //    BENCH_hotpath.json (path overridable with --hotpath-out FILE).
@@ -16,7 +17,9 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/stats.hpp"
 #include "experiments.hpp"
 #include "harness.hpp"
 #include "os/buffer_cache.hpp"
@@ -31,32 +34,33 @@ namespace flexfetch::bench {
 
 namespace {
 
-/// Min-of-K wall-clock of one full grep simulation under `config`.
-double min_sim_millis(const sim::SimConfig& config, const trace::Trace& trace,
-                      sim::SimResult* out) {
-  constexpr int kRuns = 9;
-  double best = 1e18;
-  for (int i = 0; i < kRuns; ++i) {
-    policies::DiskOnlyPolicy policy;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto result = sim::simulate(config, trace, policy);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    best = std::min(best, ms);
-    if (out != nullptr) *out = std::move(result);
-  }
-  return best;
+/// Wall-clock of one full grep simulation under `config`, in ms.
+double sim_millis(const sim::SimConfig& config, const trace::Trace& trace,
+                  sim::SimResult* out) {
+  policies::DiskOnlyPolicy policy;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = sim::simulate(config, trace, policy);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  if (out != nullptr) *out = std::move(result);
+  return ms;
 }
 
 /// The enforced overhead budget for metrics-on telemetry, in percent of
 /// the telemetry-off wall-clock. CI runs this as a failing gate.
 constexpr double kMetricsOverheadBudgetPct = 5.0;
 
+/// Rounds of the overhead measurement. Each round runs off, metrics-on,
+/// ring, off back to back, so host speed drift between rounds cancels out
+/// of that round's ratios.
+constexpr int kOverheadRounds = 41;
+
 /// Times telemetry off vs metrics-on (the production default) vs full
 /// ring capture, asserts identical simulation outcomes, records all three
 /// in a JSON file diffable across PRs, and fails when metrics-on overhead
-/// blows the budget.
+/// blows the budget. The overhead is the median over rounds of each
+/// round's on-time / mean of its two off-times.
 int record_telemetry_overhead(const std::string& out_path) {
   const auto trace = workloads::grep_trace();
   sim::SimConfig off;
@@ -67,9 +71,19 @@ int record_telemetry_overhead(const std::string& out_path) {
   ring_on.telemetry.ring_capacity = telemetry::kDefaultRingCapacity;
 
   sim::SimResult r_off, r_metrics, r_ring;
-  const double off_ms = min_sim_millis(off, trace, &r_off);
-  const double metrics_ms = min_sim_millis(metrics_on, trace, &r_metrics);
-  const double ring_ms = min_sim_millis(ring_on, trace, &r_ring);
+  std::vector<double> off_ms, metrics_ms, ring_ms, metrics_ratio, ring_ratio;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    const double off_a = sim_millis(off, trace, &r_off);
+    const double on = sim_millis(metrics_on, trace, &r_metrics);
+    const double ring = sim_millis(ring_on, trace, &r_ring);
+    const double off_b = sim_millis(off, trace, nullptr);
+    const double off_mean = 0.5 * (off_a + off_b);
+    off_ms.push_back(off_mean);
+    metrics_ms.push_back(on);
+    ring_ms.push_back(ring);
+    metrics_ratio.push_back(on / off_mean);
+    ring_ratio.push_back(ring / off_mean);
+  }
 
   if (!numerically_identical(r_off, r_metrics) ||
       !numerically_identical(r_off, r_ring)) {
@@ -79,15 +93,14 @@ int record_telemetry_overhead(const std::string& out_path) {
     return 1;
   }
 
-  const auto pct = [off_ms](double ms) {
-    return off_ms > 0.0 ? (ms / off_ms - 1.0) * 100.0 : 0.0;
-  };
-  const double overhead_pct = pct(metrics_ms);
-  const double ring_overhead_pct = pct(ring_ms);
-  std::printf("telemetry overhead (grep, disk-only, min of 9): off=%.2f ms  "
-              "metrics-on=%.2f ms (%+.1f%%)  ring=%.2f ms (%+.1f%%), "
-              "results identical\n",
-              off_ms, metrics_ms, overhead_pct, ring_ms, ring_overhead_pct);
+  const auto median = [](const std::vector<double>& v) { return percentile(v, 50.0); };
+  const double overhead_pct = (median(metrics_ratio) - 1.0) * 100.0;
+  const double ring_overhead_pct = (median(ring_ratio) - 1.0) * 100.0;
+  std::printf("telemetry overhead (grep, disk-only, median of %d rounds): "
+              "off=%.2f ms  metrics-on=%.2f ms (%+.1f%%)  ring=%.2f ms "
+              "(%+.1f%%), results identical\n",
+              kOverheadRounds, median(off_ms), median(metrics_ms), overhead_pct,
+              median(ring_ms), ring_overhead_pct);
 
   std::ofstream os(out_path);
   if (!os) {
@@ -96,12 +109,12 @@ int record_telemetry_overhead(const std::string& out_path) {
   }
   os << "{\n";
   os << "  \"scenario\": \"grep (disk-only)\",\n";
-  os << "  \"runs\": 9,\n";
-  os << "  \"telemetry_off_ms\": " << off_ms << ",\n";
-  os << "  \"telemetry_on_ms\": " << metrics_ms << ",\n";
+  os << "  \"rounds\": " << kOverheadRounds << ",\n";
+  os << "  \"telemetry_off_ms\": " << median(off_ms) << ",\n";
+  os << "  \"telemetry_on_ms\": " << median(metrics_ms) << ",\n";
   os << "  \"overhead_pct\": " << overhead_pct << ",\n";
   os << "  \"overhead_budget_pct\": " << kMetricsOverheadBudgetPct << ",\n";
-  os << "  \"ring_on_ms\": " << ring_ms << ",\n";
+  os << "  \"ring_on_ms\": " << median(ring_ms) << ",\n";
   os << "  \"ring_overhead_pct\": " << ring_overhead_pct << ",\n";
   os << "  \"events_emitted\": "
      << r_ring.metrics.value("telemetry.events_emitted") << ",\n";

@@ -44,7 +44,7 @@ struct FlexFetchConfig {
   /// performance freely on wall power, aggressively near empty. Shared,
   /// stateless and const: copies of the config are cheap and decisions
   /// stay pure. `energy::make_loss_curve("constant@0.25")` reproduces the
-  /// static policy bit-for-bit (gated in bench_battery).
+  /// static policy bit-for-bit (gated in `ffbench battery`).
   std::shared_ptr<const energy::LossRateCurve> loss_curve;
   /// Minimal profiled span of an evaluation stage (paper uses 40 s).
   Seconds stage_min_length = Seconds{40.0};

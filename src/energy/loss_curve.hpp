@@ -8,7 +8,7 @@
 //
 //   constant@R          — always R. The degeneracy baseline: FlexFetch
 //                         with `constant@0.25` is bit-identical to the
-//                         static 25% knob (gated in bench_battery + CI).
+//                         static 25% knob (gated in `ffbench battery` + CI).
 //   linear[@F:E]        — F + (E - F) * (1 - fraction). The fleet's
 //                         PopulationGenerator::loss_rate_for interpolation,
 //                         promoted to a first-class curve (the fleet now

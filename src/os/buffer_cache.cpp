@@ -30,15 +30,12 @@ BufferCache::BufferCache(BufferCacheConfig config)
   kout_ = std::max<std::size_t>(kout_, 1);
 
   // One slot per resident page plus one per ghost; both populations are
-  // bounded (<= capacity_ residents, <= kout_ ghosts), so the arena never
-  // grows and a free slot always exists when insert_new needs one.
+  // bounded (<= capacity_ residents, <= kout_ ghosts), so the reserved arena
+  // never reallocates and a slot is always available when insert_new needs
+  // one. Slots are built on first use (alloc_slot), not here.
   const std::size_t slots = capacity_ + kout_;
   FF_REQUIRE(slots < kNull, "buffer cache: capacity too large for 32-bit slots");
-  arena_.resize(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    arena_[i].next = i + 1 < slots ? static_cast<std::uint32_t>(i + 1) : kNull;
-  }
-  free_head_ = 0;
+  arena_.reserve(slots);
 
   // <= 50% load factor, power-of-two size: the table is sized once and
   // never rehashes.
@@ -47,32 +44,36 @@ BufferCache::BufferCache(BufferCacheConfig config)
 }
 
 std::uint32_t BufferCache::map_find(const PageId& id) const {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
+  const std::uint64_t h = PageIdHash{}(id);
+  const auto tag = static_cast<std::uint32_t>(h >> 32);
+  std::size_t pos = h & map_mask_;
   while (map_[pos].slot != kNull) {
-    if (map_[pos].key == id) return map_[pos].slot;
+    if (map_[pos].tag == tag && arena_[map_[pos].slot].id == id) {
+      return map_[pos].slot;
+    }
     pos = (pos + 1) & map_mask_;
   }
   return kNull;
 }
 
-void BufferCache::map_insert(const PageId& id, std::uint32_t slot) {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
+void BufferCache::map_insert(std::uint32_t s) {
+  const std::uint64_t h = PageIdHash{}(arena_[s].id);
+  std::size_t pos = h & map_mask_;
   while (map_[pos].slot != kNull) pos = (pos + 1) & map_mask_;
-  map_[pos].key = id;
-  map_[pos].slot = slot;
+  map_[pos].tag = static_cast<std::uint32_t>(h >> 32);
+  map_[pos].slot = s;
 }
 
-void BufferCache::map_erase(const PageId& id) {
-  std::size_t pos = PageIdHash{}(id) & map_mask_;
-  while (!(map_[pos].slot != kNull && map_[pos].key == id)) {
-    pos = (pos + 1) & map_mask_;
-  }
+void BufferCache::map_erase(std::uint32_t s) {
+  std::size_t pos = PageIdHash{}(arena_[s].id) & map_mask_;
+  while (map_[pos].slot != s) pos = (pos + 1) & map_mask_;
   // Backward-shift deletion keeps probe sequences unbroken without
-  // tombstones: any entry displaced past the hole moves into it.
+  // tombstones: any entry displaced past the hole moves into it. An entry's
+  // home bucket comes from the id in its slot.
   std::size_t hole = pos;
   std::size_t next = (hole + 1) & map_mask_;
   while (map_[next].slot != kNull) {
-    const std::size_t home = PageIdHash{}(map_[next].key) & map_mask_;
+    const std::size_t home = PageIdHash{}(arena_[map_[next].slot].id) & map_mask_;
     if (((next - home) & map_mask_) >= ((next - hole) & map_mask_)) {
       map_[hole] = map_[next];
       hole = next;
@@ -83,10 +84,17 @@ void BufferCache::map_erase(const PageId& id) {
 }
 
 std::uint32_t BufferCache::alloc_slot() {
-  FF_ASSERT(free_head_ != kNull);
-  const std::uint32_t s = free_head_;
-  free_head_ = arena_[s].next;
-  return s;
+  if (free_head_ != kNull) {
+    const std::uint32_t s = free_head_;
+    free_head_ = arena_[s].next;
+    return s;
+  }
+  // Free list empty: build the next never-used slot (the high-water mark).
+  // The bound is the configured slot count, so emplace_back stays inside the
+  // reserved storage and never reallocates.
+  FF_ASSERT(arena_.size() < capacity_ + kout_);
+  arena_.emplace_back();
+  return static_cast<std::uint32_t>(arena_.size() - 1);
 }
 
 void BufferCache::free_slot(std::uint32_t s) {
@@ -237,7 +245,7 @@ void BufferCache::insert_new(const PageId& id, bool dirty, Seconds now,
   } else {
     s = alloc_slot();
     arena_[s].id = id;
-    map_insert(id, s);
+    map_insert(s);
     chain_push_front(a1in_, s);
     arena_[s].where = Where::kA1in;
   }
@@ -265,7 +273,7 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
     while (a1out_.size > kout_) {
       const std::uint32_t g = a1out_.tail;
       chain_unlink(a1out_, g);
-      map_erase(arena_[g].id);
+      map_erase(g);
       free_slot(g);
     }
   } else {
@@ -276,7 +284,7 @@ void BufferCache::make_room(std::vector<DirtyPage>& flushed) {
       dirty_unlink(victim);
     }
     chain_unlink(am_, victim);
-    map_erase(sl.id);
+    map_erase(victim);
     free_slot(victim);
     ++stats_.evictions;
   }
@@ -322,12 +330,8 @@ void BufferCache::clear() {
   am_ = Chain{};
   a1out_ = Chain{};
   dirty_list_ = Chain{};
-  const std::size_t slots = arena_.size();
-  for (std::size_t i = 0; i < slots; ++i) {
-    arena_[i] = Slot{};
-    arena_[i].next = i + 1 < slots ? static_cast<std::uint32_t>(i + 1) : kNull;
-  }
-  free_head_ = 0;
+  arena_.clear();  // Keeps the reserved storage: refilling never allocates.
+  free_head_ = kNull;
   for (auto& e : map_) e.slot = kNull;
 }
 

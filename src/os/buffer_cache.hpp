@@ -12,12 +12,15 @@
 // can find flush candidates.
 //
 // Storage layout: every page (resident or ghost) lives in one slot of a flat
-// arena sized at construction to capacity + kout. The A1in/Am/A1out queues
-// and the age-ordered dirty list are intrusive doubly-linked chains of slot
-// indices, and a fixed-size open-addressing table maps PageId -> slot. After
-// construction no operation allocates: lookup/fill/write/mark_clean run
-// entirely inside the arena, and evicted dirty pages are appended to a
-// caller-owned scratch buffer.
+// arena. Storage for capacity + kout slots is reserved at construction, but a
+// slot is only built the first time the cache needs it, so a short-lived
+// cache pays for the pages it touches rather than the pages it could hold.
+// The A1in/Am/A1out queues and the age-ordered dirty list are intrusive
+// doubly-linked chains of slot indices, and a fixed-size open-addressing
+// table of 8-byte {hash tag, slot} entries maps PageId -> slot (keys are
+// compared through the arena). After construction no operation allocates:
+// lookup/fill/write/mark_clean run entirely inside the reserved arena, and
+// evicted dirty pages are appended to a caller-owned scratch buffer.
 #pragma once
 
 #include <cstddef>
@@ -129,16 +132,21 @@ class BufferCache {
     std::size_t size = 0;
   };
 
+  /// One bucket: the high 32 bits of the key's PageIdHash (the low bits pick
+  /// the bucket) and the slot holding the key. A tag match is confirmed by
+  /// comparing arena_[slot].id.
   struct MapEntry {
-    PageId key;
+    std::uint32_t tag = 0;
     std::uint32_t slot = kNull;  ///< kNull = empty bucket.
   };
 
   // Open-addressing table (linear probe, backward-shift deletion); sized at
   // construction so it never rehashes.
   std::uint32_t map_find(const PageId& id) const;
-  void map_insert(const PageId& id, std::uint32_t slot);
-  void map_erase(const PageId& id);
+  /// Indexes slot `s` under the id it holds.
+  void map_insert(std::uint32_t s);
+  /// Drops slot `s` from the index; its id must still be in place.
+  void map_erase(std::uint32_t s);
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t s);
@@ -159,7 +167,9 @@ class BufferCache {
   std::size_t kin_;
   std::size_t kout_;
 
-  std::vector<Slot> arena_;  ///< capacity_ + kout_ slots, fixed size.
+  /// Reserved for capacity_ + kout_ slots and never reallocated; slots past
+  /// size() have not been used yet.
+  std::vector<Slot> arena_;
   std::uint32_t free_head_ = kNull;
   std::vector<MapEntry> map_;
   std::size_t map_mask_ = 0;

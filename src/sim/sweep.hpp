@@ -223,7 +223,7 @@ class SweepAggregator {
 /// Order-sensitive FNV-1a fold of every scalar write_sweep_json records
 /// for a cell (bit patterns, not rounded text). Two passes over the same
 /// grid produce equal digests iff every cell result is bit-identical —
-/// the O(1)-memory determinism gate behind `bench_sweep --cells=off`,
+/// the O(1)-memory determinism gate behind `ffbench sweep --cells=off`,
 /// where the per-cell results vector is never materialized.
 std::uint64_t fold_result_digest(std::uint64_t digest, const SimResult& result);
 
@@ -283,7 +283,7 @@ void write_strata_json(std::ostream& os, const SweepAggregator& agg,
 /// Cells-off sweep record: the run metadata of write_sweep_json plus the
 /// per-stratum aggregates and the streaming determinism digest — but no
 /// cells[] array, so output size and memory are bounded by strata count
-/// however large the grid was (`bench_sweep --cells=off`).
+/// however large the grid was (`ffbench sweep --cells=off`).
 void write_sweep_summary_json(std::ostream& os, const SweepAggregator& agg,
                               const SweepRunInfo& info,
                               std::uint64_t cell_count,

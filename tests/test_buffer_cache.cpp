@@ -269,6 +269,42 @@ TEST(BufferCache, A1inHitDoesNotChangeFifoOrder) {
   EXPECT_FALSE(c.contains(PageId{1, 0}));    // Still evicted first.
 }
 
+TEST(BufferCache, EqualHashTagsAreToldApartByKey) {
+  // The index stores only the high 32 bits of a key's hash; a tag match must
+  // still be confirmed against the page id held in the slot. These two pages
+  // share that tag and their home bucket in a 4-page cache's 16-bucket table.
+  const PageId a{1, 106052};
+  const PageId b{1, 341589};
+  const std::uint64_t ha = PageIdHash{}(a);
+  const std::uint64_t hb = PageIdHash{}(b);
+  ASSERT_EQ(ha >> 32, hb >> 32);
+  ASSERT_EQ(ha & 15, hb & 15);
+
+  BufferCache c(small_config(4));
+  c.fill(a, Seconds{0.0});
+  EXPECT_FALSE(c.contains(b));
+  EXPECT_FALSE(c.lookup(b, Seconds{0.0}));
+  c.write(b, Seconds{1.0});
+  EXPECT_TRUE(c.contains(a));
+  EXPECT_TRUE(c.contains(b));
+  c.mark_clean(a);  // Must not clean b.
+  ASSERT_EQ(c.dirty_count(), 1u);
+  EXPECT_EQ(c.dirty_pages()[0].page, b);
+
+  // a leaves A1in as a ghost and comes back to Am; b is then demoted to a
+  // ghost and trimmed. Erasing one of two colliding entries must leave the
+  // other findable.
+  for (std::uint64_t i = 0; i < 3; ++i) c.fill(PageId{2, i}, Seconds{2.0});
+  EXPECT_FALSE(c.contains(a));
+  EXPECT_TRUE(c.contains(b));
+  c.fill(a, Seconds{3.0});  // Ghost hit: readmitted to Am, evicting b.
+  EXPECT_TRUE(c.lookup(a, Seconds{3.0}));
+  for (std::uint64_t i = 3; i < 16; ++i) c.fill(PageId{2, i}, Seconds{4.0});
+  EXPECT_FALSE(c.contains(b));
+  EXPECT_TRUE(c.lookup(a, Seconds{5.0}));
+  EXPECT_EQ(c.stats().ghost_hits, 0u);
+}
+
 TEST(PageId, HashAndOrdering) {
   PageIdHash h;
   EXPECT_EQ(h(PageId{1, 2}), h(PageId{1, 2}));

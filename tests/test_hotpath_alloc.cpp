@@ -82,6 +82,38 @@ TEST(HotpathAllocation, BufferCacheSteadyStateIsAllocationFree) {
       << " times (hits=" << hits << ")";
 }
 
+TEST(HotpathAllocation, BufferCacheRefillAfterClearIsAllocationFree) {
+  // clear() keeps the reserved arena, so refilling rebuilds slots in storage
+  // the cache already owns: neither the clear nor the refill allocates.
+  BufferCacheConfig config;
+  config.capacity_pages = 1024;
+  BufferCache cache(config);
+
+  std::vector<DirtyPage> flushed;
+  flushed.reserve(8192);
+  const auto fill_past_capacity = [&](std::uint64_t inode) {
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      const Seconds t = Seconds{0.001 * static_cast<double>(i)};
+      cache.fill(PageId{inode, i}, t, flushed);
+      if (i % 3 == 0) cache.write(PageId{inode, i}, t, flushed);
+      if (i % 5 == 0) cache.lookup(PageId{inode, i / 2}, t);
+    }
+  };
+  fill_past_capacity(1);
+  ASSERT_EQ(cache.size(), config.capacity_pages);
+  flushed.clear();
+
+  const std::uint64_t before = allocation_count();
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  fill_past_capacity(2);
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(cache.size(), config.capacity_pages);
+  EXPECT_FALSE(flushed.empty());
+  EXPECT_EQ(after - before, 0u)
+      << "BufferCache clear + refill allocated " << (after - before) << " times";
+}
+
 TEST(HotpathAllocation, CScanSteadyStateIsAllocationFree) {
   CScanScheduler sched;
   sched.reserve(256);

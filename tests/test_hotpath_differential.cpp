@@ -4,6 +4,7 @@
 // std::map versions, kept verbatim below) and must agree on every return
 // value, eviction, stat counter, and dirty-list ordering. This is the
 // bit-identity contract of the rewrite: same simulated numbers, new layout.
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -96,6 +97,16 @@ class Reference2Q {
   std::size_t size() const { return table_.size(); }
   std::size_t dirty_count() const { return dirty_.size(); }
   const CacheStats& stats() const { return stats_; }
+
+  /// Drops every page and ghost; stats are kept, as BufferCache::clear does.
+  void clear() {
+    a1in_.clear();
+    am_.clear();
+    a1out_.clear();
+    dirty_.clear();
+    table_.clear();
+    ghost_table_.clear();
+  }
 
  private:
   enum class Queue : std::uint8_t { kA1in, kAm };
@@ -266,23 +277,44 @@ bool same_stats(const CacheStats& a, const CacheStats& b) {
          a.evictions == b.evictions;
 }
 
-TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
+/// One input for expect_matches_reference.
+struct RandomOpsInput {
   BufferCacheConfig config;
-  config.capacity_pages = 64;  // Small capacity => constant eviction churn.
-  config.kin_fraction = 0.25;
-  config.kout_fraction = 0.5;
-  BufferCache arena(config);
-  Reference2Q ref(config);
+  std::uint32_t seed = 0;
+  std::uint64_t inodes = 1;  ///< Inodes are drawn from [1, inodes].
+  /// Page indices are drawn from [0, min(max_pages, first_pages + i / widen_every))
+  /// at op i: a working set that widens over the run when widen_every > 0.
+  std::uint64_t max_pages = 256;
+  std::uint64_t first_pages = 256;
+  int widen_every = 0;
+  /// Ops before which both sides are clear()ed.
+  std::vector<int> clear_at;
+};
 
-  std::mt19937 rng(0xf1e2d3c4u);
-  std::uniform_int_distribution<std::uint64_t> page(0, 255);
-  std::uniform_int_distribution<std::uint64_t> inode(1, 3);
+/// Drives 150k random lookup/fill/write/mark_clean/contains/dirty-query ops
+/// into a BufferCache and a Reference2Q and requires identical answers.
+void expect_matches_reference(const RandomOpsInput& in) {
+  BufferCache arena(in.config);
+  Reference2Q ref(in.config);
+
+  std::mt19937 rng(in.seed);
+  std::uniform_int_distribution<std::uint64_t> inode(1, in.inodes);
   std::uniform_int_distribution<int> op(0, 99);
   Seconds now = Seconds{0.0};
 
   constexpr int kOps = 150000;
   for (int i = 0; i < kOps; ++i) {
-    const PageId id{inode(rng), page(rng)};
+    if (std::find(in.clear_at.begin(), in.clear_at.end(), i) != in.clear_at.end()) {
+      arena.clear();
+      ref.clear();
+    }
+    std::uint64_t pages = in.max_pages;
+    if (in.widen_every > 0) {
+      pages = std::min<std::uint64_t>(
+          pages, in.first_pages + static_cast<std::uint64_t>(i / in.widen_every));
+    }
+    const PageId id{inode(rng),
+                    std::uniform_int_distribution<std::uint64_t>(0, pages - 1)(rng)};
     now += Seconds{0.001};
     const int o = op(rng);
     if (o < 35) {  // lookup
@@ -310,6 +342,51 @@ TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
   }
   EXPECT_TRUE(same_stats(arena.stats(), ref.stats()));
   EXPECT_TRUE(same_dirty(arena.dirty_pages(), ref.dirty_pages()));
+}
+
+/// Small cache, 768 distinct pages: the arena reaches its high-water mark
+/// within a few hundred ops, then every allocation recycles a freed slot.
+RandomOpsInput churn_input() {
+  RandomOpsInput in;
+  in.config.capacity_pages = 64;  // Small capacity => constant eviction churn.
+  in.config.kin_fraction = 0.25;
+  in.config.kout_fraction = 0.5;
+  in.seed = 0xf1e2d3c4u;
+  in.inodes = 3;
+  return in;
+}
+
+/// Larger cache under a working set that widens from 64 to 4096 pages: the
+/// cache fills long before the arena reaches its high-water mark, so Am
+/// evictions feed the free list while new ghosts still take never-used
+/// slots, and allocations alternate between the two sources.
+RandomOpsInput widening_input() {
+  RandomOpsInput in;
+  in.config.capacity_pages = 1024;
+  in.seed = 0x5eed1e55u;
+  in.max_pages = 4096;
+  in.first_pages = 64;
+  in.widen_every = 32;
+  return in;
+}
+
+TEST(HotpathDifferential, ArenaCacheMatchesReferenceOverRandomOps) {
+  expect_matches_reference(churn_input());
+}
+
+TEST(HotpathDifferential, ArenaCacheMatchesReferenceAsArenaGrows) {
+  expect_matches_reference(widening_input());
+}
+
+TEST(HotpathDifferential, ArenaCacheMatchesReferenceAcrossClear) {
+  // clear() keeps the arena's storage; the refill rebuilds slots in it. The
+  // first clear lands while the arena is still partly built.
+  RandomOpsInput grow = widening_input();
+  grow.clear_at = {55000, 110000};
+  expect_matches_reference(grow);
+  RandomOpsInput churn = churn_input();
+  churn.clear_at = {50000, 100000};
+  expect_matches_reference(churn);
 }
 
 TEST(HotpathDifferential, ArenaCacheMatchesReferenceWithOutOfOrderTimestamps) {
