@@ -1,6 +1,6 @@
 // Fleet-scale population sweep driver: N synthetic users sharded across
-// worker PROCESSES, with an automated bit-identity gate against the
-// single-process reference.
+// worker THREADS, with an automated bit-identity gate against the
+// one-thread reference.
 //
 //   ./build/bench/ffbench fleet [--users N] [--block-size B] [--workers W]
 //                               [--seed S] [--policies a,b,c]
@@ -8,39 +8,34 @@
 //                               [--checkpoint-dir DIR] [--resume]
 //                               [--no-baseline] [--out FILE]
 //
-// The parent first runs the whole population in-process (the monolithic
-// baseline) and fingerprints the aggregate, then re-execs itself W times
-// as `ffbench fleet --worker-shard k ...`. Each worker runs its
-// interleaved block set and appends exact (hexfloat) per-block summaries
-// to DIR/shard-k, flushed per block. The parent merges every recovered block in block-index
-// order and GATES on fingerprint equality with the baseline: the sharded
-// multi-process aggregate must be bit-identical to the single-process
+// The driver first runs the whole population on one thread (the
+// monolithic baseline) and fingerprints the aggregate, then runs W shards
+// on a thread pool (fleet::run_shards). Each shard runs its interleaved
+// block set and appends exact (hexfloat) per-block summaries to
+// DIR/shard-k, flushed per block. The driver merges every recovered block
+// in block-index order and GATES on fingerprint equality with the
+// baseline: the sharded aggregate must be bit-identical to the one-thread
 // one, whatever the worker count or completion order (see
 // src/fleet/runner.hpp for why that holds). BENCH_fleet.json records
-// throughput (users/sec), the multi-process speedup over the baseline,
-// peak RSS of parent and every shard, per-shard wall times, and the
-// per-stratum aggregates.
+// throughput (users/sec), the sharded speedup over the baseline, peak RSS,
+// per-shard wall times, and the per-stratum aggregates.
 //
 // --resume keeps existing checkpoint lines and runs only the missing
-// blocks — kill a run, rerun with --resume, and the merged result is
-// bit-identical to an uninterrupted one (the per-block lines a killed
-// worker already flushed are reused verbatim; a torn trailing line is
+// blocks — kill the run, rerun with --resume (any --workers), and the
+// merged result is bit-identical to an uninterrupted one (the per-block
+// lines already flushed are reused verbatim; a torn trailing line is
 // dropped by the loader and that block simply reruns).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "common/format.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/checkpoint.hpp"
 #include "fleet/population.hpp"
-#include "fleet/process.hpp"
 #include "fleet/runner.hpp"
 #include "experiments.hpp"
 #include "harness.hpp"
@@ -62,7 +57,6 @@ struct FleetFlags {
   bool resume = false;
   bool no_baseline = false;
   std::string out_path = "BENCH_fleet.json";
-  int worker_shard = -1;
 };
 
 fleet::FleetConfig config_from(const FleetFlags& f) {
@@ -80,77 +74,9 @@ fleet::FleetConfig config_from(const FleetFlags& f) {
   return config;
 }
 
-/// The exact flag vector a worker needs to rebuild the parent's config.
-std::vector<std::string> worker_argv(const FleetFlags& f, int shard) {
-  std::vector<std::string> argv = {fleet::self_exe_path(),
-                                   "fleet",
-                                   "--worker-shard",
-                                   std::to_string(shard),
-                                   "--users",
-                                   std::to_string(f.users),
-                                   "--workers",
-                                   std::to_string(f.workers),
-                                   "--seed",
-                                   std::to_string(f.seed),
-                                   "--checkpoint-dir",
-                                   f.checkpoint_dir};
-  if (f.block_size > 0) {
-    argv.push_back("--block-size");
-    argv.push_back(std::to_string(f.block_size));
-  }
-  if (!f.policies_csv.empty()) {
-    argv.push_back("--policies");
-    argv.push_back(f.policies_csv);
-  }
-  // %.17g round-trips the double exactly.
-  argv.push_back("--workload-scale");
-  argv.push_back(strprintf("%.17g", f.workload_scale));
-  if (f.telemetry) argv.push_back("--telemetry");
-  return argv;
-}
-
-int run_worker(const FleetFlags& f) {
-  const fleet::FleetConfig config = config_from(f);
-  const fleet::PopulationGenerator gen(config.population);
-  fleet::ScenarioCatalog catalog(config.population.scenario_seed,
-                                 config.population.think_scales,
-                                 config.tuning);
-
-  // Skip anything already durable (this shard's pre-kill progress AND any
-  // block another worker count's layout already covered).
-  const fleet::CheckpointState state =
-      fleet::load_checkpoint_dir(f.checkpoint_dir);
-  std::set<std::uint64_t> done;
-  for (const auto& [index, summary] : state.blocks) done.insert(index);
-
-  const std::filesystem::path path =
-      std::filesystem::path(f.checkpoint_dir) /
-      fleet::shard_file_name(f.worker_shard);
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "ffbench fleet worker %d: cannot open %s\n",
-                 f.worker_shard, path.c_str());
-    return 1;
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const fleet::ShardRunStats stats =
-      fleet::run_shard(config, gen, catalog, f.worker_shard, done, out);
-
-  fleet::ShardMeta meta;
-  meta.shard = f.worker_shard;
-  meta.wall_seconds = seconds_since(t0);
-  meta.peak_rss_bytes = peak_rss_bytes();
-  meta.users = stats.users;
-  meta.blocks = stats.blocks;
-  fleet::write_meta_line(out, meta);
-  out.flush();
-  return out ? 0 : 1;
-}
-
 void write_fleet_json(std::ostream& os, const fleet::FleetConfig& config,
                       const sim::SweepAggregator& agg,
-                      const std::vector<fleet::ShardMeta>& metas,
+                      const std::vector<fleet::ShardRunStats>& shards,
                       double wall_seconds, double baseline_wall_seconds,
                       bool baseline_ran, bool identical,
                       std::uint64_t resumed_blocks) {
@@ -180,12 +106,11 @@ void write_fleet_json(std::ostream& os, const fleet::FleetConfig& config,
   os << "  \"resumed_blocks\": " << resumed_blocks << ",\n";
   os << "  \"peak_rss_bytes\": " << peak_rss_bytes() << ",\n";
   os << "  \"shards\": [\n";
-  for (std::size_t i = 0; i < metas.size(); ++i) {
-    const fleet::ShardMeta& m = metas[i];
-    os << "    {\"shard\": " << m.shard << ", \"wall_seconds\": "
-       << m.wall_seconds << ", \"peak_rss_bytes\": " << m.peak_rss_bytes
-       << ", \"users\": " << m.users << ", \"blocks\": " << m.blocks << "}"
-       << (i + 1 < metas.size() ? "," : "") << "\n";
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    const fleet::ShardRunStats& st = shards[k];
+    os << "    {\"shard\": " << k << ", \"wall_seconds\": " << st.wall_seconds
+       << ", \"users\": " << st.users << ", \"blocks\": " << st.blocks << "}"
+       << (k + 1 < shards.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
   os << "  \"cells\": " << agg.cells_seen() << ",\n";
@@ -193,10 +118,9 @@ void write_fleet_json(std::ostream& os, const fleet::FleetConfig& config,
   os << "\n}\n";
 }
 
-int run_parent(const FleetFlags& f) {
-  const fleet::FleetConfig config = config_from(f);
+int run_sharded(const FleetFlags& f, const fleet::FleetConfig& config,
+                std::uint64_t n_blocks) {
   const fleet::PopulationGenerator gen(config.population);
-  const std::uint64_t n_blocks = fleet::block_count(config);
   std::printf("fleet: %llu users in %llu blocks of %llu, %d workers\n",
               static_cast<unsigned long long>(config.users),
               static_cast<unsigned long long>(n_blocks),
@@ -221,7 +145,7 @@ int run_parent(const FleetFlags& f) {
     }
   }
 
-  // Single-process reference: same block fold, no serialization.
+  // One-thread reference: same block fold, no serialization.
   double baseline_wall = 0.0;
   std::string baseline_fp;
   if (!f.no_baseline) {
@@ -233,29 +157,18 @@ int run_parent(const FleetFlags& f) {
         fleet::run_monolithic(config, gen, catalog);
     baseline_wall = seconds_since(t0);
     baseline_fp = fleet::fingerprint(mono);
-    std::printf("baseline (1 process): %.2f s, %.0f users/s\n", baseline_wall,
+    std::printf("baseline (1 thread): %.2f s, %.0f users/s\n", baseline_wall,
                 static_cast<double>(config.users) / baseline_wall);
   }
 
-  // Multi-process pass: one child per shard, all concurrent.
-  std::vector<std::vector<std::string>> argvs;
-  argvs.reserve(static_cast<std::size_t>(config.workers));
-  for (int w = 0; w < config.workers; ++w) {
-    argvs.push_back(worker_argv(f, w));
-  }
+  // Sharded pass: one pool thread per shard, all concurrent.
   const auto t1 = std::chrono::steady_clock::now();
-  const auto results = fleet::run_processes(argvs);
+  const std::vector<fleet::ShardRunStats> shards =
+      fleet::run_shards(config, gen, f.checkpoint_dir, [] {
+        return seconds_since(std::chrono::steady_clock::time_point{});
+      });
   const double wall = seconds_since(t1);
-  for (int w = 0; w < config.workers; ++w) {
-    const auto& r = results[static_cast<std::size_t>(w)];
-    if (!r.ok()) {
-      std::fprintf(stderr, "ffbench fleet: worker %d failed (%s %d)\n", w,
-                   r.signaled ? "signal" : "exit",
-                   r.signaled ? r.term_signal : r.exit_code);
-      return 1;
-    }
-  }
-  std::printf("sharded (%d processes): %.2f s, %.0f users/s\n", config.workers,
+  std::printf("sharded (%d threads): %.2f s, %.0f users/s\n", config.workers,
               wall, static_cast<double>(config.users) / wall);
 
   // Merge and gate.
@@ -268,26 +181,20 @@ int run_parent(const FleetFlags& f) {
     if (!identical) {
       std::fprintf(stderr,
                    "BIT-IDENTITY VIOLATION: sharded merge differs from the "
-                   "single-process aggregate\n");
+                   "one-thread aggregate\n");
       return 1;
     }
-    std::printf("bit-identity: sharded merge == single-process aggregate "
+    std::printf("bit-identity: sharded merge == one-thread aggregate "
                 "(%llu blocks, %d workers)\n",
                 static_cast<unsigned long long>(n_blocks), config.workers);
   }
-
-  std::vector<fleet::ShardMeta> metas = state.metas;
-  std::sort(metas.begin(), metas.end(),
-            [](const fleet::ShardMeta& a, const fleet::ShardMeta& b) {
-              return a.shard < b.shard;
-            });
 
   std::ofstream os(f.out_path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s for writing\n", f.out_path.c_str());
     return 1;
   }
-  write_fleet_json(os, config, merged, metas, wall, baseline_wall,
+  write_fleet_json(os, config, merged, shards, wall, baseline_wall,
                    !f.no_baseline, identical, resumed_blocks);
   std::printf("wrote %s (%zu strata)\n", f.out_path.c_str(),
               merged.strata().size());
@@ -310,13 +217,21 @@ int run_fleet(int argc, char** argv) {
   flags.add("resume", &f.resume);
   flags.add("no-baseline", &f.no_baseline);
   flags.add("out", &f.out_path, "FILE");
-  flags.add("worker-shard", &f.worker_shard, "K");
   flags.parse(argc, argv);
   if (!(f.workload_scale > 0.0)) {
     std::fprintf(stderr, "ffbench fleet: --workload-scale must be > 0\n");
     return 2;
   }
-  return f.worker_shard >= 0 ? run_worker(f) : run_parent(f);
+  const fleet::FleetConfig config = config_from(f);
+  const std::uint64_t n_blocks = fleet::block_count(config);
+  if (f.workers < 1 || static_cast<std::uint64_t>(f.workers) > n_blocks) {
+    std::fprintf(stderr,
+                 "ffbench fleet: --workers must be in [1, %llu] (the block "
+                 "count)\n",
+                 static_cast<unsigned long long>(n_blocks));
+    return 2;
+  }
+  return run_sharded(f, config, n_blocks);
 }
 
 }  // namespace flexfetch::bench

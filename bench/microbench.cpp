@@ -13,9 +13,11 @@
 // (`python3 perfbench/run.py --trace 1`), not from here.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -34,17 +36,42 @@ namespace flexfetch::bench {
 
 namespace {
 
-/// Wall-clock of one full grep simulation under `config`, in ms.
-double sim_millis(const sim::SimConfig& config, const trace::Trace& trace,
-                  sim::SimResult* out) {
+/// Wall-clock of one full grep simulation, in ms, split at the
+/// Simulator's phase boundaries. finish() is where metrics-on telemetry
+/// folds its registry; teardown frees what the cell built.
+constexpr std::array<const char*, 4> kPhaseNames = {"ctor", "loop", "finish",
+                                                   "teardown"};
+using SimMillis = std::array<double, kPhaseNames.size()>;
+
+double total(const SimMillis& m) {
+  return std::accumulate(m.begin(), m.end(), 0.0);
+}
+
+SimMillis sim_millis(const sim::SimConfig& config, const trace::Trace& trace,
+                     sim::SimResult* out) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::milli>(b - a).count();
+  };
   policies::DiskOnlyPolicy policy;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = sim::simulate(config, trace, policy);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+  sim::SimResult result;
+  const auto t0 = Clock::now();
+  Clock::time_point t1, t2, t3;
+  {
+    std::vector<sim::ProgramSpec> programs;
+    programs.push_back(sim::ProgramSpec{.trace = trace, .name = trace.name()});
+    sim::Simulator simulator(config, std::move(programs), policy);
+    t1 = Clock::now();
+    simulator.start();
+    while (simulator.step()) {
+    }
+    t2 = Clock::now();
+    result = simulator.finish();
+    t3 = Clock::now();
+  }
+  const auto t4 = Clock::now();
   if (out != nullptr) *out = std::move(result);
-  return ms;
+  return {ms(t0, t1), ms(t1, t2), ms(t2, t3), ms(t3, t4)};
 }
 
 /// The enforced overhead budget for metrics-on telemetry, in percent of
@@ -72,17 +99,27 @@ int record_telemetry_overhead(const std::string& out_path) {
 
   sim::SimResult r_off, r_metrics, r_ring;
   std::vector<double> off_ms, metrics_ms, ring_ms, metrics_ratio, ring_ratio;
+  // Per phase: off and metrics-on ms, and the phase's share of the
+  // round's overhead in percent of the off time.
+  constexpr std::size_t kPhases = kPhaseNames.size();
+  std::array<std::vector<double>, kPhases> phase_off, phase_on, phase_pct;
   for (int round = 0; round < kOverheadRounds; ++round) {
-    const double off_a = sim_millis(off, trace, &r_off);
-    const double on = sim_millis(metrics_on, trace, &r_metrics);
-    const double ring = sim_millis(ring_on, trace, &r_ring);
-    const double off_b = sim_millis(off, trace, nullptr);
-    const double off_mean = 0.5 * (off_a + off_b);
+    const SimMillis off_a = sim_millis(off, trace, &r_off);
+    const SimMillis on = sim_millis(metrics_on, trace, &r_metrics);
+    const double ring = total(sim_millis(ring_on, trace, &r_ring));
+    const SimMillis off_b = sim_millis(off, trace, nullptr);
+    const double off_mean = 0.5 * (total(off_a) + total(off_b));
     off_ms.push_back(off_mean);
-    metrics_ms.push_back(on);
+    metrics_ms.push_back(total(on));
     ring_ms.push_back(ring);
-    metrics_ratio.push_back(on / off_mean);
+    metrics_ratio.push_back(total(on) / off_mean);
     ring_ratio.push_back(ring / off_mean);
+    for (std::size_t p = 0; p < kPhases; ++p) {
+      const double off_p = 0.5 * (off_a[p] + off_b[p]);
+      phase_off[p].push_back(off_p);
+      phase_on[p].push_back(on[p]);
+      phase_pct[p].push_back((on[p] - off_p) / off_mean * 100.0);
+    }
   }
 
   if (!numerically_identical(r_off, r_metrics) ||
@@ -101,6 +138,13 @@ int record_telemetry_overhead(const std::string& out_path) {
               "(%+.1f%%), results identical\n",
               kOverheadRounds, median(off_ms), median(metrics_ms), overhead_pct,
               median(ring_ms), ring_overhead_pct);
+  std::printf("  metrics-on by phase (off -> on ms, share of overhead):");
+  for (std::size_t p = 0; p < kPhases; ++p) {
+    std::printf("  %s %.3f -> %.3f (%+.2f%%)", kPhaseNames[p],
+                median(phase_off[p]), median(phase_on[p]),
+                median(phase_pct[p]));
+  }
+  std::printf("\n");
 
   std::ofstream os(out_path);
   if (!os) {
@@ -116,6 +160,15 @@ int record_telemetry_overhead(const std::string& out_path) {
   os << "  \"overhead_budget_pct\": " << kMetricsOverheadBudgetPct << ",\n";
   os << "  \"ring_on_ms\": " << median(ring_ms) << ",\n";
   os << "  \"ring_overhead_pct\": " << ring_overhead_pct << ",\n";
+  os << "  \"metrics_on_phases\": [\n";
+  for (std::size_t p = 0; p < kPhases; ++p) {
+    os << "    {\"phase\": \"" << kPhaseNames[p]
+       << "\", \"off_ms\": " << median(phase_off[p])
+       << ", \"on_ms\": " << median(phase_on[p])
+       << ", \"overhead_pct\": " << median(phase_pct[p]) << "}"
+       << (p + 1 < kPhases ? "," : "") << "\n";
+  }
+  os << "  ],\n";
   os << "  \"events_emitted\": "
      << r_ring.metrics.value("telemetry.events_emitted") << ",\n";
   os << "  \"results_identical\": true\n";

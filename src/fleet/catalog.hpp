@@ -1,14 +1,14 @@
-// Lazy per-process cache of tuned scenario bundles.
+// Lazy per-shard cache of tuned scenario bundles.
 //
 // A fleet cell needs a ScenarioBundle for (scenario index, think bucket).
 // Building a bundle is the expensive part of a cell (trace generation +
 // compilation), so the catalog builds each distinct combination at most
-// once per process and hands out stable const pointers — SweepCell holds
+// once per catalog and hands out stable const pointers — SweepCell holds
 // a raw pointer into the catalog, which therefore must outlive every
 // cell built from it. With the default 3 think buckets that is at most
-// 15 bundles per worker process however many users stream through.
+// 15 bundles per shard however many users stream through.
 //
-// Not thread-safe: each worker process (or the in-process baseline loop)
+// Not thread-safe: each fleet shard (or the single-thread baseline loop)
 // owns its own catalog and runs cells sequentially.
 #pragma once
 

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -238,33 +239,6 @@ bool parse_block_line(std::string_view line, BlockSummary* out) {
   return true;
 }
 
-void write_meta_line(std::ostream& os, const ShardMeta& meta) {
-  os << "meta shard " << meta.shard << " wall ";
-  put_hex(os, meta.wall_seconds);
-  os << " rss " << meta.peak_rss_bytes << " users " << meta.users
-     << " blocks " << meta.blocks << " end\n";
-}
-
-bool parse_meta_line(std::string_view line, ShardMeta* out) {
-  Cursor c{line};
-  c.expect("meta");
-  c.expect("shard");
-  ShardMeta m;
-  m.shard = static_cast<int>(c.u64());
-  c.expect("wall");
-  m.wall_seconds = c.dbl();
-  c.expect("rss");
-  m.peak_rss_bytes = c.u64();
-  c.expect("users");
-  m.users = c.u64();
-  c.expect("blocks");
-  m.blocks = c.u64();
-  c.expect("end");
-  if (!c.ok || !c.at_end()) return false;
-  *out = m;
-  return true;
-}
-
 std::string shard_file_name(int shard) {
   return "shard-" + std::to_string(shard);
 }
@@ -291,16 +265,12 @@ CheckpointState load_checkpoint_dir(const std::string& dir) {
     std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) {
-      if (line.rfind("block ", 0) == 0) {
-        BlockSummary b;
-        if (parse_block_line(line, &b) && !state.blocks.contains(b.block)) {
-          state.blocks.emplace(b.block, std::move(b));
-        }
-      } else if (line.rfind("meta ", 0) == 0) {
-        ShardMeta m;
-        if (parse_meta_line(line, &m)) state.metas.push_back(m);
+      // Anything that does not parse (a torn line, a foreign one) is
+      // skipped.
+      BlockSummary b;
+      if (parse_block_line(line, &b) && !state.blocks.contains(b.block)) {
+        state.blocks.emplace(b.block, std::move(b));
       }
-      // Anything else (including a torn trailing line) is skipped.
     }
   }
   return state;

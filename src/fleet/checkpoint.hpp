@@ -1,11 +1,11 @@
 // Exact, kill-safe serialization of partial fleet aggregates.
 //
-// A worker shard emits one line per completed user block: the block's
+// A fleet shard emits one line per completed user block: the block's
 // SweepAggregator partial, serialized with every double in C99 hexfloat
 // (%a) so the parse reconstructs the exact bit pattern — no decimal
 // rounding anywhere in the save/load cycle. Lines are appended and
-// flushed one at a time, so a killed worker leaves at most one PARTIAL
-// trailing line; every line is terminated by an "end" sentinel and a
+// flushed one at a time, so a killed run leaves at most one PARTIAL
+// trailing line per shard file; every line is terminated by an "end" sentinel and a
 // newline, and the loader silently drops any line that fails to parse
 // completely. Resume therefore never double-counts and never loses a
 // completed block: the set of well-formed lines IS the set of durable
@@ -25,7 +25,6 @@
 //       metrics <m> { <name> <kind> <value> }*
 //       hists <h> { <name> <count> <sum> <min> <max> nb <k> {<i> <v>}* }*
 //     }* end
-//   meta shard <w> wall <seconds> rss <bytes> users <n> blocks <n> end
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/sweep.hpp"
 
@@ -48,15 +46,6 @@ struct BlockSummary {
   sim::SweepAggregator agg;
 };
 
-/// Per-shard run metadata, appended as the shard's final line.
-struct ShardMeta {
-  int shard = -1;
-  double wall_seconds = 0.0;
-  std::uint64_t peak_rss_bytes = 0;
-  std::uint64_t users = 0;
-  std::uint64_t blocks = 0;
-};
-
 /// Writes one block record (newline-terminated) in the exact format
 /// above. Throws ConfigError if a stratum key or metric name contains
 /// whitespace (would corrupt the token stream).
@@ -67,9 +56,6 @@ void write_block_line(std::ostream& os, const BlockSummary& summary);
 /// partial-trailing-line tolerance.
 bool parse_block_line(std::string_view line, BlockSummary* out);
 
-void write_meta_line(std::ostream& os, const ShardMeta& meta);
-bool parse_meta_line(std::string_view line, ShardMeta* out);
-
 /// Everything recovered from a checkpoint directory.
 struct CheckpointState {
   /// Completed blocks by block index (later duplicates of a block —
@@ -77,7 +63,6 @@ struct CheckpointState {
   /// wrote — are ignored; block contents are deterministic so any copy
   /// is as good as any other).
   std::map<std::uint64_t, BlockSummary> blocks;
-  std::vector<ShardMeta> metas;
 };
 
 /// Name of shard w's checkpoint file within a checkpoint directory.
@@ -86,7 +71,7 @@ std::string shard_file_name(int shard);
 /// Scans every "shard-*" file in `dir` (which may not exist — that is an
 /// empty state, not an error) and returns all well-formed records.
 /// Malformed lines are skipped, so a checkpoint written by a killed
-/// worker loads cleanly. The scan accepts files from ANY worker count:
+/// run loads cleanly. The scan accepts files from ANY worker count:
 /// resume with a different --workers than the killed run is exact.
 CheckpointState load_checkpoint_dir(const std::string& dir);
 

@@ -15,20 +15,21 @@
 //     themselves deterministic (see population.hpp).
 //   * The global aggregate is the fold of block aggregates in BLOCK INDEX
 //     order. Workers own interleaved blocks (block % workers == shard)
-//     and emit per-block summaries; the parent sorts by block index and
+//     and emit per-block summaries; the merge sorts by block index and
 //     folds. The tree shape — and therefore every rounding step — is a
 //     function of (N, B) alone, so ANY worker count, completion order, or
-//     kill/resume partitioning reproduces the single-process bits.
+//     kill/resume partitioning reproduces the one-thread bits.
 //
 // That last property is what the fleet bench gates on: fingerprint(merge
-// of worker output) must equal fingerprint(in-memory single-process
-// fold) exactly.
+// of the shard files) must equal fingerprint(in-memory one-thread fold)
+// exactly.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "fleet/catalog.hpp"
 #include "fleet/checkpoint.hpp"
@@ -49,7 +50,8 @@ struct FleetConfig {
   /// changing it changes the fold tree and therefore the low-order bits
   /// of the aggregate (every run being compared must share it).
   std::uint64_t block_size = 256;
-  /// Worker shards (blocks are dealt round-robin: block % workers).
+  /// Worker shards, one pool thread each in run_shards (blocks are dealt
+  /// round-robin: block % workers).
   int workers = 1;
   /// Run every cell with metrics-only telemetry on (histograms ride the
   /// checkpoint format exactly).
@@ -77,6 +79,8 @@ BlockSummary run_block(const FleetConfig& config,
 struct ShardRunStats {
   std::uint64_t blocks = 0;
   std::uint64_t users = 0;
+  /// Host wall time of the shard; set by run_shards when given a clock.
+  double wall_seconds = 0.0;
 };
 
 /// Runs every block of `shard` (block % workers == shard) not already in
@@ -88,6 +92,21 @@ ShardRunStats run_shard(const FleetConfig& config,
                         const std::set<std::uint64_t>& done,
                         std::ostream& out);
 
+/// Runs the whole fleet into `checkpoint_dir` (created if missing) on a
+/// ThreadPool of config.workers threads, one task per shard. Each shard
+/// owns its ScenarioCatalog and appends to its own shard_file_name(k)
+/// through run_shard, skipping every block already durable in the
+/// directory — so a rerun over a killed run's files executes only the
+/// missing blocks, whatever its worker count. Requires 1 <= workers <=
+/// block_count. Returns shard k's stats at index k; if a shard throws, the
+/// others still finish and the lowest shard's exception is rethrown.
+/// `now` is an optional host clock in seconds for the per-shard
+/// wall_seconds (src/ itself reads only simulated time).
+std::vector<ShardRunStats> run_shards(const FleetConfig& config,
+                                      const PopulationGenerator& gen,
+                                      const std::string& checkpoint_dir,
+                                      double (*now)() = nullptr);
+
 /// Folds recovered block summaries in block-index order into the global
 /// aggregate. Throws ConfigError unless `blocks` covers every block of
 /// the run exactly (no gaps — a partial checkpoint cannot masquerade as
@@ -96,8 +115,8 @@ sim::SweepAggregator merge_blocks(
     const FleetConfig& config,
     const std::map<std::uint64_t, BlockSummary>& blocks);
 
-/// The single-process reference: runs every block in order in-process
-/// and folds directly (no serialization). The sharded path must
+/// The one-thread reference: runs every block in order and folds
+/// directly (no serialization). The sharded path must
 /// reproduce this bit-for-bit; benches fingerprint both.
 sim::SweepAggregator run_monolithic(const FleetConfig& config,
                                     const PopulationGenerator& gen,

@@ -1,6 +1,6 @@
 // Fleet subsystem: population determinism across shard boundaries, exact
 // checkpoint round-trips, block-merge bit-identity for every worker
-// grouping, and kill/resume equivalence.
+// grouping, the threaded shard runner, and kill/resume equivalence.
 
 #include <gtest/gtest.h>
 
@@ -231,26 +231,6 @@ TEST(Checkpoint, TruncatedLinesAreRejectedNotMisparsed) {
   EXPECT_FALSE(parse_block_line(line + " trailing", &out));
 }
 
-TEST(Checkpoint, MetaLineRoundTrips) {
-  ShardMeta m;
-  m.shard = 3;
-  m.wall_seconds = 1.25e-3;
-  m.peak_rss_bytes = 123456789;
-  m.users = 500;
-  m.blocks = 2;
-  std::ostringstream os;
-  write_meta_line(os, m);
-  std::string line = os.str();
-  line.pop_back();
-  ShardMeta parsed;
-  ASSERT_TRUE(parse_meta_line(line, &parsed));
-  EXPECT_EQ(parsed.shard, m.shard);
-  EXPECT_EQ(parsed.wall_seconds, m.wall_seconds);
-  EXPECT_EQ(parsed.peak_rss_bytes, m.peak_rss_bytes);
-  EXPECT_EQ(parsed.users, m.users);
-  EXPECT_EQ(parsed.blocks, m.blocks);
-}
-
 TEST(Runner, AnyWorkerGroupingMergesToTheMonolithicBits) {
   const FleetConfig base = small_config();
   const PopulationGenerator gen{base.population};
@@ -350,6 +330,61 @@ TEST(Runner, KillAndResumeReproducesUninterruptedBits) {
   EXPECT_EQ(fingerprint(merge_blocks(config, blocks)), reference);
 }
 
+TEST(Runner, ThreadedShardsMatchMonolithicAndResumeExactly) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "flexfetch_fleet_threaded_test";
+  fs::remove_all(dir);
+
+  FleetConfig config = small_config();
+  const PopulationGenerator gen{config.population};
+  ScenarioCatalog mono_catalog(config.population.scenario_seed,
+                               config.population.think_scales, config.tuning);
+  const std::string reference =
+      fingerprint(run_monolithic(config, gen, mono_catalog));
+  const auto merged = [&] {
+    return fingerprint(
+        merge_blocks(config, load_checkpoint_dir(dir.string()).blocks));
+  };
+
+  config.workers = 3;
+  const std::vector<ShardRunStats> first =
+      run_shards(config, gen, dir.string());
+  ASSERT_EQ(first.size(), 3u);
+  std::uint64_t users = 0;
+  for (const ShardRunStats& st : first) users += st.users;
+  EXPECT_EQ(users, config.users);
+  EXPECT_EQ(merged(), reference);
+
+  // Lose one shard's file outright and tear the last line of another
+  // (kill mid-write, newline gone), then resume with a different worker
+  // count: only the missing blocks rerun, and the merge is unchanged.
+  fs::remove(dir / shard_file_name(1));
+  const fs::path torn = dir / shard_file_name(0);
+  fs::resize_file(torn, fs::file_size(torn) - 10);
+  config.workers = 2;
+  const std::vector<ShardRunStats> second =
+      run_shards(config, gen, dir.string());
+  std::uint64_t rerun = 0;
+  for (const ShardRunStats& st : second) rerun += st.blocks;
+  // Shard 1 held blocks 1 and 4; block 3 was shard 0's torn last line.
+  EXPECT_EQ(rerun, 3u);
+  EXPECT_EQ(merged(), reference);
+  fs::remove_all(dir);
+}
+
+TEST(Runner, ShardedRunRejectsWorkerCountsOutsideTheBlocks) {
+  FleetConfig config = small_config();  // 5 blocks
+  const PopulationGenerator gen{config.population};
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "flexfetch_fleet_unused")
+          .string();
+  for (const int workers : {0, -1, 6}) {
+    config.workers = workers;
+    EXPECT_THROW(run_shards(config, gen, dir), ConfigError) << workers;
+  }
+}
+
 TEST(Checkpoint, DirectoryLoadSkipsTornAndForeignLines) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -366,11 +401,6 @@ TEST(Checkpoint, DirectoryLoadSkipsTornAndForeignLines) {
     std::ofstream out(dir / shard_file_name(0));
     write_block_line(out, run_block(config, gen, catalog, 0));
     write_block_line(out, run_block(config, gen, catalog, 1));
-    ShardMeta m;
-    m.shard = 0;
-    m.users = 16;
-    m.blocks = 2;
-    write_meta_line(out, m);
     out << "block 2 16 24 agg 8 strata";  // torn mid-write, no newline
   }
   {
@@ -382,8 +412,6 @@ TEST(Checkpoint, DirectoryLoadSkipsTornAndForeignLines) {
   EXPECT_EQ(state.blocks.size(), 2u);
   EXPECT_TRUE(state.blocks.contains(0));
   EXPECT_TRUE(state.blocks.contains(1));
-  ASSERT_EQ(state.metas.size(), 1u);
-  EXPECT_EQ(state.metas[0].blocks, 2u);
 
   EXPECT_TRUE(load_checkpoint_dir((dir / "missing").string()).blocks.empty());
   fs::remove_all(dir);

@@ -103,7 +103,9 @@ TEST(HoardSet, SelectRespectsBudget) {
 TEST(HoardSet, SelectSkipsOversizedButKeepsSmaller) {
   HoardSet h;
   // Huge file with top priority, but it does not fit; a small one does.
-  for (int i = 0; i < 10; ++i) h.record_access(1, Bytes{0}, 100 * kMiB, Seconds{i});
+  for (int i = 0; i < 10; ++i) {
+    h.record_access(1, Bytes{0}, 100 * kMiB, Seconds{static_cast<double>(i)});
+  }
   h.record_access(2, Bytes{0}, 1 * kMiB, Seconds{5.0});
   const auto chosen = h.select(2 * kMiB, Seconds{10.0});
   ASSERT_EQ(chosen.size(), 1u);
@@ -113,7 +115,9 @@ TEST(HoardSet, SelectSkipsOversizedButKeepsSmaller) {
 TEST(HoardSet, RankedIsSortedByPriority) {
   HoardSet h;
   h.record_access(1, Bytes{0}, Bytes{4096}, Seconds{0.0});
-  for (int i = 0; i < 5; ++i) h.record_access(2, Bytes{0}, Bytes{4096}, Seconds{i});
+  for (int i = 0; i < 5; ++i) {
+    h.record_access(2, Bytes{0}, Bytes{4096}, Seconds{static_cast<double>(i)});
+  }
   const auto ranked = h.ranked(Seconds{5.0});
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].inode, 2u);
